@@ -52,6 +52,7 @@ use dmc_core::{Engine, MineConfig, Miner, RunReport, SparseMatrix};
 use dmc_datagen::{planted_implications, PlantedConfig};
 use dmc_metrics::ScanTally;
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Which rule family a cell mines.
@@ -630,10 +631,14 @@ fn shard_cells(matrix: &SparseMatrix, scale: Scale, config: &SuiteConfig) -> Vec
     use dmc_core::{merge_shards, plan_shards, shard_mine, RetryPolicy};
     use dmc_matrix::spill_io::StdFsIo;
 
+    // The counter keeps concurrent suite runs in one process (the tests)
+    // from sharing, and then deleting, each other's shard directory.
+    static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "dmc-bench-shard-{}-{}",
+        "dmc-bench-shard-{}-{}-{}",
         std::process::id(),
-        scale_tag(scale)
+        scale_tag(scale),
+        NEXT_DIR.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("bench shard temp dir");
     let cfg = MineConfig::implications(config.minconf).expect("suite minconf is valid");

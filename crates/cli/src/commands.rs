@@ -465,6 +465,7 @@ pub fn top(args: &Args) -> CmdResult {
     use dmc_metrics::json::JsonValue;
     let addr: String = args.require("addr")?;
     let mut stream = std::net::TcpStream::connect(&addr)?;
+    stream.set_nodelay(true)?;
     let v = dmc_serve::request(&mut stream, "{\"type\": \"metrics\"}")?;
     if v.get("ok") != Some(&JsonValue::Bool(true)) {
         let message = v

@@ -16,8 +16,18 @@
 //! The writer only emits the subset of JSON those schemas need: objects,
 //! arrays (of objects or scalars), strings, booleans, `null`, and finite
 //! numbers.
+//!
+//! The parser also decodes untrusted input (the rule daemon's request
+//! frames), so it runs in time linear in the document and refuses
+//! containers nested deeper than [`MAX_DEPTH`] instead of recursing
+//! until the stack overflows.
 
 use std::fmt::Write as _;
+
+/// The deepest container nesting [`JsonValue::parse`] accepts; deeper
+/// documents fail with a "nesting too deep" [`JsonError`]. The
+/// workspace's own documents nest fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` into `out` as a JSON string literal (with quotes).
 fn escape_into(out: &mut String, s: &str) {
@@ -221,8 +231,10 @@ impl JsonValue {
     /// Parses a complete JSON document.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -321,8 +333,11 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -367,8 +382,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => {
                 self.literal("true", "expected 'true'")?;
@@ -385,6 +400,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -478,13 +507,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text.chars().next().unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both delimiters are ASCII, so the run starts and
+                    // ends on char boundaries of the `&str` input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -631,5 +662,92 @@ mod tests {
         assert_eq!(items[3], JsonValue::Bool(true));
         assert_eq!(items[4], JsonValue::Bool(false));
         assert_eq!(items[5], JsonValue::Null);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = JsonValue::parse(&over).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(
+            err.offset, MAX_DEPTH,
+            "fails at the first bracket past the cap"
+        );
+
+        // Objects count towards the same cap as arrays.
+        let objects = "{\"k\": ".repeat(MAX_DEPTH + 1);
+        let err = JsonValue::parse(&objects).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+
+        // One megabyte of open brackets, as a hostile request frame.
+        let err = JsonValue::parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string_literal() {
+        let body: String = "héllo, wörld ✓ ".chars().cycle().take(1 << 20).collect();
+        let doc = format!("[\"{body}\", \"tail\\n\"]");
+        let v = JsonValue::parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_str(), Some("tail\n"));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let err = JsonValue::parse("\"abcé").unwrap_err();
+        assert_eq!(err.message, "unterminated string");
+        assert_eq!(err.offset, 6);
+        let err = JsonValue::parse("\"ab\\qcd\"").unwrap_err();
+        assert_eq!(err.message, "bad escape sequence");
+        assert_eq!(err.offset, 4);
+        let err = JsonValue::parse("\"ab\\u12\"").unwrap_err();
+        assert_eq!(err.message, "bad \\u escape");
+        assert_eq!(err.offset, 5);
+    }
+
+    use proptest::prelude::*;
+
+    /// Characters from every UTF-8 width, plus the ones the writer must
+    /// escape: quotes, backslashes and control characters.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            0u32..0x20,
+            Just(u32::from('"')),
+            Just(u32::from('\\')),
+            0x20u32..0x80,
+            0x80u32..0x800,
+            0x800u32..0xD800,
+            0xE000u32..0x1_0000,
+            0x1_0000u32..0x11_0000,
+        ]
+        .prop_map(|c| char::from_u32(c).expect("ranges skip surrogates"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_strings_round_trip(
+            chars in proptest::collection::vec(any_char(), 0..64),
+        ) {
+            let value: String = chars.into_iter().collect();
+            let mut w = JsonWriter::new();
+            w.object();
+            w.string(&value, &value);
+            w.array_key("items");
+            w.item_string(&value);
+            w.end_array();
+            w.end_object();
+            let v = JsonValue::parse(&w.finish()).unwrap();
+            prop_assert_eq!(v.keys(), vec![value.as_str(), "items"]);
+            prop_assert_eq!(v.get(&value).and_then(JsonValue::as_str), Some(value.as_str()));
+            let items = v.get("items").and_then(JsonValue::as_array).unwrap();
+            prop_assert_eq!(items[0].as_str(), Some(value.as_str()));
+        }
     }
 }

@@ -23,6 +23,9 @@
 //!
 //! Every response carries `"ok"`; failures are `{"ok": false, "error":
 //! "..."}` and leave the connection usable (per-request error isolation).
+//! That includes payloads nested deeper than
+//! [`MAX_DEPTH`](dmc_metrics::json::MAX_DEPTH), which the parser refuses
+//! rather than recursing into.
 
 use dmc_matrix::ColumnId;
 use dmc_metrics::json::JsonValue;
@@ -32,6 +35,12 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Writes one frame: big-endian length prefix, then the payload.
+///
+/// The frame is assembled in one buffer and handed to the writer in a
+/// single `write_all`. Two small writes on an unbuffered `TcpStream`
+/// would meet Nagle's algorithm on the sender and a delayed ACK on the
+/// receiver: the payload waits for the ACK of the 4-byte header, about
+/// 40 ms per frame.
 ///
 /// # Errors
 ///
@@ -47,8 +56,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -231,6 +242,49 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF is None");
+    }
+
+    /// A writer that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_a_single_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "{\"type\": \"rule\", \"lhs\": 5, \"rhs\": 3}").unwrap();
+        assert_eq!(w.writes, 1, "header and payload go out together");
+        write_frame(&mut w, "").unwrap();
+        assert_eq!(w.writes, 2, "an empty frame is still one write");
+        let mut r = Cursor::new(w.bytes);
+        assert_eq!(
+            read_frame(&mut r).unwrap().as_deref(),
+            Some("{\"type\": \"rule\", \"lhs\": 5, \"rhs\": 3}")
+        );
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
+    }
+
+    #[test]
+    fn oversized_payloads_are_refused_before_writing() {
+        let mut w = CountingWriter::default();
+        let big = "x".repeat(MAX_FRAME_BYTES + 1);
+        let err = write_frame(&mut w, &big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0);
     }
 
     #[test]

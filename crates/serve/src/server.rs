@@ -229,6 +229,10 @@ impl Server {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            // Every write is a whole response frame, so Nagle's
+            // algorithm only adds delay; failing to disable it is
+            // harmless.
+            let _ = stream.set_nodelay(true);
             self.shared.connections.fetch_add(1, Ordering::Relaxed);
             let engine = Arc::clone(&self.engine);
             let shared = Arc::clone(&self.shared);
@@ -743,6 +747,51 @@ mod tests {
         let stats = handle.join().unwrap();
         assert_eq!(stats.errors, 3);
         assert!(stats.requests >= 5);
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_refused_and_the_daemon_keeps_serving() {
+        let (addr, handle) = start(MineConfig::implications(0.8).unwrap());
+        let mut client = TcpStream::connect(addr).unwrap();
+
+        // One megabyte of open brackets: recursing into it unchecked
+        // would overflow the connection thread's stack and abort.
+        let v = request(&mut client, &"[".repeat(1 << 20)).unwrap();
+        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(false)));
+        let error = v.get("error").and_then(JsonValue::as_str).unwrap();
+        assert!(error.contains("nesting too deep"), "{error}");
+
+        // The same connection still answers.
+        let v = request(&mut client, "{\"type\": \"stats\"}").unwrap();
+        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
+        assert_eq!(get_u64(&v, &["stats", "errors"]), 1);
+
+        request(&mut client, "{\"type\": \"shutdown\"}").unwrap();
+        let stats = handle.join().unwrap();
+        assert_eq!(stats.errors, 1);
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+        let (addr, handle) = start(MineConfig::implications(0.8).unwrap());
+        // A plain client socket: Nagle stays on at this end, as it does
+        // for any client that does not opt out.
+        let mut client = TcpStream::connect(addr).unwrap();
+        let start = Instant::now();
+        for _ in 0..200 {
+            let v = request(&mut client, "{\"type\": \"rule\", \"lhs\": 5, \"rhs\": 3}").unwrap();
+            assert_eq!(get_u64(&v, &["answer", "hits"]), 3);
+        }
+        let elapsed = start.elapsed();
+        // A frame split over two writes stalls each round trip for a
+        // delayed ACK (~40 ms or more; ~17 s for 200); whole-frame writes
+        // take milliseconds in total.
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 round trips took {elapsed:?}"
+        );
+        request(&mut client, "{\"type\": \"shutdown\"}").unwrap();
+        handle.join().unwrap();
     }
 
     #[test]

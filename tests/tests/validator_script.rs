@@ -8,6 +8,7 @@ use dmc_datagen::{planted_implications, PlantedConfig};
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn script() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../scripts/validate_run_report.py")
@@ -24,8 +25,16 @@ fn rows_of(m: &SparseMatrix) -> Vec<Result<Vec<u32>, Infallible>> {
 struct TempDir(PathBuf);
 
 impl TempDir {
+    /// A fresh directory per call: the tests in this binary run
+    /// concurrently, and a shared name would let one test's `Drop`
+    /// delete another's files.
     fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!("dmc-validator-{}", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "dmc-validator-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         Self(dir)
     }
